@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,7 +47,6 @@ type specDefaults struct {
 	Seed          uint64
 	Ops           int
 	Push          int
-	CommitBatch   int
 	Prefetch      int
 	CompactBudget int
 	WarmSolver    bool
@@ -57,7 +57,8 @@ type specDefaults struct {
 // workloadSpec is the JSON attach spec: every field optional, overlaid
 // on the CLI defaults. "replay" streams a recorded trace file instead of
 // generating a workload — the stream is consumed once and the workload
-// stops ticking when it drains.
+// stops ticking when it drains. Unknown fields and negative counts are
+// rejected rather than ignored.
 type workloadSpec struct {
 	Workload      string   `json:"workload,omitempty"`
 	Replay        string   `json:"replay,omitempty"`
@@ -69,7 +70,6 @@ type workloadSpec struct {
 	Seed          *uint64  `json:"seed,omitempty"`
 	Ops           int      `json:"ops,omitempty"`
 	Push          int      `json:"push,omitempty"`
-	CommitBatch   int      `json:"commit_batch,omitempty"`
 	Prefetch      int      `json:"prefetch,omitempty"`
 	CompactBudget int      `json:"compact_budget,omitempty"`
 }
@@ -96,8 +96,24 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 	d := b.defaults
 	var spec workloadSpec
 	if len(as.Spec) > 0 {
-		if err := json.Unmarshal(as.Spec, &spec); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(as.Spec))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			return sim.Config{}, fmt.Errorf("attach spec: %w", err)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"pages", spec.Pages},
+		{"ops", int64(spec.Ops)},
+		{"push", int64(spec.Push)},
+		{"prefetch", int64(spec.Prefetch)},
+		{"compact_budget", int64(spec.CompactBudget)},
+	} {
+		if f.v < 0 {
+			return sim.Config{}, fmt.Errorf("attach spec: %s must not be negative, got %d", f.name, f.v)
 		}
 	}
 	if spec.Workload == "" {
@@ -126,9 +142,6 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 	}
 	if spec.Push == 0 {
 		spec.Push = d.Push
-	}
-	if spec.CommitBatch == 0 {
-		spec.CommitBatch = d.CommitBatch
 	}
 	if spec.Prefetch == 0 {
 		spec.Prefetch = d.Prefetch
@@ -179,7 +192,6 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 		SampleRate:             50,
 		Seed:                   *spec.Seed,
 		PushThreads:            spec.Push,
-		CommitBatch:            spec.CommitBatch,
 		CompactBudget:          spec.CompactBudget,
 		PrefetchFaultThreshold: spec.Prefetch,
 		Recorder:               b.live,

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -83,6 +84,11 @@ type commandRequest struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
+// maxCommandBytes bounds a POST /command body. Real commands are a few
+// hundred bytes; the bound keeps one oversized request from pinning the
+// daemon's memory.
+const maxCommandBytes = 1 << 20
+
 // NewHandler returns the daemon's runtime-command mux:
 //
 //	POST /command  {"op": ..., ...} → {"ok": true, ...} | {"error": ...}
@@ -109,8 +115,14 @@ func NewHandler(d *Daemon, hc HandlerConfig) http.Handler {
 			return
 		}
 		var req commandRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad command body: %w", err))
+		body := http.MaxBytesReader(w, r.Body, maxCommandBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, fmt.Errorf("bad command body: %w", err))
 			return
 		}
 		resp, err := dispatch(d, hc, req)

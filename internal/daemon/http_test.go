@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,5 +174,35 @@ func TestHTTPCommandErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPCommandBodyLimit: a /command body over maxCommandBytes is
+// refused with 413 once reading passes the limit, and the daemon keeps
+// ticking its attached workload afterwards.
+func TestHTTPCommandBodyLimit(t *testing.T) {
+	h := newHTTPHarness(t)
+	if code, out := h.command(t, `{"op":"attach","name":"kv"}`); code != http.StatusOK {
+		t.Fatalf("attach: %d %v", code, out)
+	}
+	h.clk.StepN(1)
+	if err := h.d.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	huge := `{"op":"attach","name":"big","spec":{"pad":"` + strings.Repeat("x", maxCommandBytes) + `"}}`
+	code, out := h.command(t, huge)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413 (%v)", code, out)
+	}
+	h.clk.StepN(2)
+	if err := h.d.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.d.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Workloads) != 1 || st.Workloads[0].Name != "kv" || st.Workloads[0].Windows != 3 {
+		t.Fatalf("daemon after oversize body: %+v", st)
 	}
 }

@@ -278,66 +278,3 @@ func TestConcurrentCapacityReservationProperty(t *testing.T) {
 		t.Fatalf("counters differ: %+v vs %+v", ordered.Counters(), serial.Counters())
 	}
 }
-
-// TestConcurrentPreparedRegionEquivalence pins prepare/commit to the fused
-// serial path across every move shape: BA→CT, CT→CT with the same codec
-// (the §7.1 direct path), CT→CT across codecs, and CT→BA — on twin
-// managers, every result, counter and tier stat must match.
-func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
-	build := func() *Manager {
-		m, err := NewManager(Config{
-			NumPages: 4 * RegionPages,
-			Content:  corpus.NewGenerator(corpus.Dickens, 3),
-			CompressedTiers: []ztier.Config{
-				{Codec: "lzo", Pool: "zsmalloc", Media: media.DRAM},
-				{Codec: "lzo", Pool: "zsmalloc", Media: media.NVMM}, // same codec: fast path
-				{Codec: "zstd", Pool: "zbud", Media: media.NVMM},    // cross codec
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	a, b := build(), build()
-	steps := []struct {
-		r    RegionID
-		dest TierID
-	}{
-		{0, 1}, {1, 1}, {2, 3}, // demote into compressed tiers
-		{0, 2},                 // same-codec direct move
-		{1, 3}, {2, 1},         // cross-codec recompress
-		{0, 0}, {3, 3},         // promote back; fresh demotion
-	}
-	for i, st := range steps {
-		ra, errA := a.MigrateRegion(st.r, st.dest)
-		pr, err := b.PrepareRegionMigration(st.r, st.dest)
-		if err != nil {
-			t.Fatalf("step %d: prepare: %v", i, err)
-		}
-		rb, errB := b.CommitRegionMigration(pr)
-		if ra != rb {
-			t.Fatalf("step %d (region %d → tier %d): fused %+v != prepare/commit %+v",
-				i, st.r, st.dest, ra, rb)
-		}
-		if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
-			t.Fatalf("step %d: error mismatch: %v vs %v", i, errA, errB)
-		}
-	}
-	if !reflect.DeepEqual(a.TierPages(), b.TierPages()) {
-		t.Fatalf("residency diverged: %v vs %v", a.TierPages(), b.TierPages())
-	}
-	if a.Counters() != b.Counters() {
-		t.Fatalf("counters diverged: %+v vs %+v", a.Counters(), b.Counters())
-	}
-	for _, ti := range a.Tiers() {
-		if !ti.Compressed {
-			continue
-		}
-		sa, _ := a.CompressedTierStats(ti.ID)
-		sb, _ := b.CompressedTierStats(ti.ID)
-		if sa != sb {
-			t.Fatalf("tier %s stats diverged:\nfused:          %+v\nprepare/commit: %+v", ti.Name, sa, sb)
-		}
-	}
-}

@@ -1,7 +1,10 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -609,5 +612,218 @@ func TestRegionHelpers(t *testing.T) {
 	m := testManager(t, RegionPages+10)
 	if m.NumRegions() != 2 {
 		t.Fatalf("NumRegions = %d, want 2", m.NumRegions())
+	}
+}
+
+// checkPlacement verifies a manager's state from first principles: every
+// compressed-resident page decompresses to the content its current
+// version generates, the per-tier residency counters sum to the address
+// space, and each compressed tier's page counter equals the tier's own
+// live-object count.
+func checkPlacement(t *testing.T, m *Manager, step string) (compressed int) {
+	t.Helper()
+	want := make([]byte, PageSize)
+	var got []byte
+	for p := PageID(0); p < PageID(m.NumPages()); p++ {
+		e := m.ptes[p]
+		ct, ok := m.ct(e.tier)
+		if !ok {
+			continue
+		}
+		var err error
+		got, _, err = ct.tier.Load(e.handle, got[:0])
+		if err != nil {
+			t.Fatalf("%s: page %d in tier %d does not load: %v", step, p, e.tier, err)
+		}
+		if !bytes.Equal(got, m.content(p, want)) {
+			t.Fatalf("%s: page %d in tier %d decompresses to the wrong content", step, p, e.tier)
+		}
+		compressed++
+	}
+	var sum int64
+	for _, n := range m.TierPages() {
+		sum += n
+	}
+	if sum != m.NumPages() {
+		t.Fatalf("%s: tier residency sums to %d, want %d", step, sum, m.NumPages())
+	}
+	for _, ct := range m.cts {
+		if got, live := ct.pages.Load(), ct.tier.LivePages(); got != live {
+			t.Fatalf("%s: tier %s counts %d pages but holds %d live objects", step, ct.info.Name, got, live)
+		}
+	}
+	return compressed
+}
+
+// TestMigrateRegionRoundTrip drives region migrations through every move
+// shape — BA→CT, same-codec CT→CT (the §7.1 direct path), cross-codec
+// CT→CT, CT→BA, and a fresh demotion of rewritten pages — and checks the
+// manager against checkPlacement after every step.
+func TestMigrateRegionRoundTrip(t *testing.T) {
+	m, err := NewManager(Config{
+		NumPages: 4 * RegionPages,
+		Content:  corpus.NewGenerator(corpus.Dickens, 3),
+		CompressedTiers: []ztier.Config{
+			{Codec: "lzo", Pool: "zsmalloc", Media: media.DRAM},
+			{Codec: "lzo", Pool: "zsmalloc", Media: media.NVMM}, // same codec: direct path
+			{Codec: "zstd", Pool: "zbud", Media: media.NVMM},    // cross codec
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite some of region 3's pages so their content comes from a
+	// later version than the one a fresh manager would generate.
+	for p := PageID(3 * RegionPages); p < 3*RegionPages+64; p += 3 {
+		if _, err := m.Access(p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		r    RegionID
+		dest TierID
+	}{
+		{0, 1}, {1, 1}, {2, 3}, // demote into compressed tiers
+		{0, 2},         // same-codec direct move
+		{1, 3}, {2, 1}, // cross-codec recompress
+		{0, 0}, {3, 3}, // promote back; fresh demotion
+	}
+	checked := 0
+	for i, st := range steps {
+		name := fmt.Sprintf("step %d (region %d → tier %d)", i, st.r, st.dest)
+		res, err := m.MigrateRegion(st.r, st.dest)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := res.Moved + res.Rejected + res.Skipped; n != RegionPages || res.Moved == 0 {
+			t.Fatalf("%s: %+v accounts for %d of %d pages", name, res, n, RegionPages)
+		}
+		checked += checkPlacement(t, m, name)
+	}
+	if checked == 0 {
+		t.Fatal("no compressed pages were checked; the oracle is vacuous")
+	}
+}
+
+// migrateScratch is MigrateRegion drawing work buffers from sc — the
+// prepare/commit pair a push-thread worker runs for each move.
+func migrateScratch(m *Manager, r RegionID, dest TierID, sc *MigrationScratch) (MigrationResult, error) {
+	pr, err := m.PrepareRegionMigrationScratch(r, dest, sc)
+	if err != nil {
+		return MigrationResult{}, err
+	}
+	return m.CommitRegionMigration(pr)
+}
+
+// TestMigrationScratchReuse: a worker-owned arena must be refilled by the
+// commit's buffer release and drained by the next prepare — reuse across
+// moves instead of per-move pool round-trips — while producing results
+// identical to the pool-backed path.
+func TestMigrationScratchReuse(t *testing.T) {
+	mA := testManager(t, 4*RegionPages)
+	mB := testManager(t, 4*RegionPages)
+	ct1 := TierID(2)
+	sc := &MigrationScratch{}
+	for r := RegionID(0); r < 4; r++ {
+		got, errA := migrateScratch(mA, r, ct1, sc)
+		want, errB := mB.MigrateRegion(r, ct1)
+		if errors.Is(errA, ErrTierFull) != errors.Is(errB, ErrTierFull) ||
+			(errA == nil) != (errB == nil) {
+			t.Fatalf("region %d: scratch err %v vs pool err %v", r, errA, errB)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("region %d: scratch result %+v != pool result %+v", r, got, want)
+		}
+	}
+	if !reflect.DeepEqual(mA.TierPages(), mB.TierPages()) {
+		t.Fatal("scratch and pool paths diverged in residency")
+	}
+	if sc.Buffers() == 0 {
+		t.Fatal("arena empty after commits: buffers were not returned for reuse")
+	}
+	// The arena's population must stabilize: a second sweep through the
+	// same shape of work allocates nothing new.
+	high := sc.Buffers()
+	for r := RegionID(0); r < 4; r++ {
+		if _, err := migrateScratch(mA, r, DRAMTier, sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := migrateScratch(mA, r, ct1, sc); err != nil && !errors.Is(err, ErrTierFull) {
+			t.Fatal(err)
+		}
+	}
+	if sc.Buffers() > high+RegionPages {
+		t.Fatalf("arena grew from %d to %d buffers on identical work", high, sc.Buffers())
+	}
+	// Nil arena stays valid (global pool fallback).
+	var nilSC *MigrationScratch
+	if _, err := migrateScratch(mB, 0, DRAMTier, nilSC); err != nil {
+		t.Fatal(err)
+	}
+	if nilSC.Buffers() != 0 {
+		t.Fatal("nil arena must report 0 buffers")
+	}
+}
+
+// TestCommitRegionMigrationConsumed: committing a prepared region a
+// second time is a no-op — zero result, nil error, nothing moved.
+func TestCommitRegionMigrationConsumed(t *testing.T) {
+	m := testManager(t, 2*RegionPages)
+	pr, err := m.PrepareRegionMigration(0, TierID(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CommitRegionMigration(pr); err != nil {
+		t.Fatal(err)
+	}
+	before := m.TierPages()
+	if mr, err := m.CommitRegionMigration(pr); err != nil || mr != (MigrationResult{}) {
+		t.Fatalf("consumed CommitRegionMigration = %+v, %v; want zero, nil", mr, err)
+	}
+	if !reflect.DeepEqual(m.TierPages(), before) {
+		t.Fatalf("second commit changed residency: %v -> %v", before, m.TierPages())
+	}
+}
+
+// TestCommitRegionMigrationWrongManager: committing a region prepared on
+// another manager errors, touches neither manager, and consumes the
+// prepared region.
+func TestCommitRegionMigrationWrongManager(t *testing.T) {
+	m1 := testManager(t, 2*RegionPages)
+	m2 := testManager(t, 2*RegionPages)
+	pr, err := m1.PrepareRegionMigration(0, TierID(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m2.CommitRegionMigration(pr); err == nil {
+		t.Fatal("cross-manager CommitRegionMigration succeeded")
+	}
+	if mr, err := m1.CommitRegionMigration(pr); err != nil || mr != (MigrationResult{}) {
+		t.Fatalf("consumed region after cross-manager error: got %+v, %v", mr, err)
+	}
+	if m1.TierPages()[DRAMTier] != 2*RegionPages || m2.TierPages()[DRAMTier] != 2*RegionPages {
+		t.Fatal("a failed cross-manager commit moved pages")
+	}
+}
+
+// TestCommitRePreparesStalePage: a page rewritten between prepare and
+// commit keeps its tier, but its prepared bytes are stale. The commit
+// must re-prepare it so the compressed copy holds the new version.
+func TestCommitRePreparesStalePage(t *testing.T) {
+	m := testManager(t, RegionPages)
+	pr, err := m.PrepareRegionMigration(0, TierID(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := PageID(0); p < 8; p++ {
+		if _, err := m.Access(p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.CommitRegionMigration(pr); err != nil {
+		t.Fatal(err)
+	}
+	if checkPlacement(t, m, "after commit") == 0 {
+		t.Fatal("nothing was compressed; the stale-prepare check is vacuous")
 	}
 }

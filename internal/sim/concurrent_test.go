@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,7 +168,7 @@ func TestConcurrentApplyMovesFallbackConflicts(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r += 3 {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		results, err := applyMoves(m, moves, workers, 0, nil)
+		results, err := applyMoves(m, moves, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestConcurrentApplyMovesRepeatable(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r += 3 {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		results, err := applyMoves(m, moves, workers, 0, nil)
+		results, err := applyMoves(m, moves, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,74 +234,21 @@ func TestConcurrentApplyMovesRepeatable(t *testing.T) {
 	}
 }
 
-// TestConcurrentApplyMovesCommitBatch extends the determinism contract to
-// the page-granular commit pipeline: a fallback-scarred plan (wave 1
-// leaves regions with mixed residency by clamping CT-1) applied with
-// sub-region commit batches at PushThreads 2 and 8 must match the serial
-// whole-region apply exactly — per-move results, residency and counters —
-// for every batch size. The PT-8 small-batch run doubles as the
-// scheduler-stats smoke: it must actually exercise early stream handoffs
-// (PartialReleases > 0) and land more commit chunks than jobs. Runs under
-// -race -count=3 in CI (the Concurrent suite).
-func TestConcurrentApplyMovesCommitBatch(t *testing.T) {
-	collect := func(workers, batch int, tr *applyTrace) ([]moveOutcome, []int64, mem.Counters) {
-		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
+// TestConcurrentApplyMovesPrepareError: a move with an invalid destination
+// must surface its error deterministically while the rest of the plan
+// completes, at any worker count.
+func TestConcurrentApplyMovesPrepareError(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		wl := workload.Memcached(workload.DriverYCSB, 1024, 4*mem.RegionPages, 1)
 		m := standardMix(t, wl)
-		ct1, ct2 := mem.TierID(2), mem.TierID(3)
-		if err := m.SetCompressedTierLimit(ct1, 32); err != nil {
-			t.Fatal(err)
+		moves := []policy.Move{
+			{Region: 0, Dest: mem.TierID(2)},
+			{Region: 1, Dest: mem.TierID(99)}, // no such tier
+			{Region: 2, Dest: mem.TierID(3)},
 		}
-		// Wave 1 (whole-region, serial): pile every region into the
-		// clamped CT-1 so its overflow falls back and at least one region
-		// ends up with pages split across CT-1 and DRAM.
-		var wave1 []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			wave1 = append(wave1, policy.Move{Region: mem.RegionID(r), Dest: ct1})
+		_, err := applyMoves(m, moves, workers, nil)
+		if !errors.Is(err, mem.ErrNoSuchTier) {
+			t.Fatalf("workers=%d: err = %v, want ErrNoSuchTier", workers, err)
 		}
-		if _, err := applyMoves(m, wave1, 1, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		// Wave 2 (under test): each region appears once — unchained jobs,
-		// the batch path — and the mixed-residency regions finish their
-		// CT-1 pages before their DRAM tail, releasing CT-1's stream
-		// early.
-		var wave2 []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			wave2 = append(wave2, policy.Move{Region: mem.RegionID(r), Dest: ct2})
-		}
-		results, err := applyMoves(m, wave2, workers, batch, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results, m.TierPages(), m.Counters()
-	}
-	baseRes, basePages, baseCtr := collect(1, 0, nil)
-	for _, workers := range []int{2, 8} {
-		for _, batch := range []int{4, 32} {
-			res, pages, ctr := collect(workers, batch, nil)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Fatalf("workers=%d batch=%d: per-move results differ from serial whole-region", workers, batch)
-			}
-			if !reflect.DeepEqual(pages, basePages) {
-				t.Fatalf("workers=%d batch=%d: residency differs: %v vs %v", workers, batch, pages, basePages)
-			}
-			if ctr != baseCtr {
-				t.Fatalf("workers=%d batch=%d: counters differ: %+v vs %+v", workers, batch, ctr, baseCtr)
-			}
-		}
-	}
-	// Scheduler-stats smoke at PT 8, batch 4: the plan must genuinely
-	// exercise the page-granular pipeline, not vacuously pass DeepEqual.
-	tr := newApplyTrace(1, 8)
-	res, _, _ := collect(8, 4, tr)
-	if !reflect.DeepEqual(res, baseRes) {
-		t.Fatal("traced batched apply diverged from serial")
-	}
-	if tr.sched.PartialReleases == 0 {
-		t.Fatal("PartialReleases = 0: the plan produced no early stream handoff; smoke is vacuous")
-	}
-	if tr.sched.BatchCommits <= int64(len(baseRes)) {
-		t.Fatalf("BatchCommits = %d over %d jobs: sub-region chunking did not happen",
-			tr.sched.BatchCommits, len(baseRes))
 	}
 }
