@@ -47,7 +47,7 @@ func main() {
 
 	if *metricsAddr != "" {
 		live := obs.NewLive()
-		addr, err := obs.Serve(*metricsAddr, live)
+		addr, err := obs.Serve(*metricsAddr, obs.Handler(live, obs.DefaultHealthConfig()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics listener: %v\n", err)
 			os.Exit(1)

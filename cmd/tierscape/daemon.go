@@ -20,13 +20,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"sync"
 	"syscall"
-	"time"
 
 	"tierscape"
 	"tierscape/internal/daemon"
@@ -35,57 +33,12 @@ import (
 	"tierscape/internal/trace"
 )
 
-// specDefaults carries the CLI flag values that seed every attach spec:
-// a spec field that is absent inherits the flag.
-type specDefaults struct {
-	Workload      string
-	Model         string
-	Alpha         float64
-	Pct           float64
-	Tiers         string
-	Pages         int64
-	Seed          uint64
-	Ops           int
-	Push          int
-	Prefetch      int
-	CompactBudget int
-	WarmSolver    bool
-	WarmEps       float64
-	WarmFull      int
-}
-
-// workloadSpec is the JSON attach spec: every field optional, overlaid
-// on the CLI defaults. "replay" streams a recorded trace file instead of
-// generating a workload — the stream is consumed once and the workload
-// stops ticking when it drains. Unknown fields and negative counts are
-// rejected rather than ignored.
-type workloadSpec struct {
-	Workload      string   `json:"workload,omitempty"`
-	Replay        string   `json:"replay,omitempty"`
-	Model         string   `json:"model,omitempty"`
-	Alpha         *float64 `json:"alpha,omitempty"`
-	Pct           *float64 `json:"pct,omitempty"`
-	Tiers         string   `json:"tiers,omitempty"`
-	Pages         int64    `json:"pages,omitempty"`
-	Seed          *uint64  `json:"seed,omitempty"`
-	Ops           int      `json:"ops,omitempty"`
-	Push          int      `json:"push,omitempty"`
-	Prefetch      int      `json:"prefetch,omitempty"`
-	CompactBudget int      `json:"compact_budget,omitempty"`
-}
-
-type daemonOpts struct {
-	configPath  string
-	tick        time.Duration
-	metricsAddr string
-	health      obs.HealthConfig
-	defaults    specDefaults
-}
-
 // specBuilder lowers attach specs to sim configs and keeps the files
-// opened for replay streams so shutdown can close them.
+// opened for replay streams so shutdown can close them. A replay attach
+// streams the trace file, consumed once: the workload stops ticking when
+// it drains.
 type specBuilder struct {
-	defaults specDefaults
+	defaults runSpec
 	live     *tierscape.LiveMetrics
 
 	mu      sync.Mutex
@@ -93,66 +46,21 @@ type specBuilder struct {
 }
 
 func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
-	d := b.defaults
-	var spec workloadSpec
+	s := b.defaults
 	if len(as.Spec) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(as.Spec))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := dec.Decode(&s); err != nil {
 			return sim.Config{}, fmt.Errorf("attach spec: %w", err)
 		}
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"pages", spec.Pages},
-		{"ops", int64(spec.Ops)},
-		{"push", int64(spec.Push)},
-		{"prefetch", int64(spec.Prefetch)},
-		{"compact_budget", int64(spec.CompactBudget)},
-	} {
-		if f.v < 0 {
-			return sim.Config{}, fmt.Errorf("attach spec: %s must not be negative, got %d", f.name, f.v)
-		}
-	}
-	if spec.Workload == "" {
-		spec.Workload = d.Workload
-	}
-	if spec.Model == "" {
-		spec.Model = d.Model
-	}
-	if spec.Alpha == nil {
-		spec.Alpha = &d.Alpha
-	}
-	if spec.Pct == nil {
-		spec.Pct = &d.Pct
-	}
-	if spec.Tiers == "" {
-		spec.Tiers = d.Tiers
-	}
-	if spec.Pages == 0 {
-		spec.Pages = d.Pages
-	}
-	if spec.Seed == nil {
-		spec.Seed = &d.Seed
-	}
-	if spec.Ops == 0 {
-		spec.Ops = d.Ops
-	}
-	if spec.Push == 0 {
-		spec.Push = d.Push
-	}
-	if spec.Prefetch == 0 {
-		spec.Prefetch = d.Prefetch
-	}
-	if spec.CompactBudget == 0 {
-		spec.CompactBudget = d.CompactBudget
+	if err := s.validate(); err != nil {
+		return sim.Config{}, err
 	}
 
 	var wl tierscape.Workload
-	if spec.Replay != "" {
-		f, err := os.Open(spec.Replay)
+	if s.Replay != "" {
+		f, err := os.Open(s.Replay)
 		if err != nil {
 			return sim.Config{}, err
 		}
@@ -167,35 +75,17 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 		wl = st
 	} else {
 		var err error
-		wl, err = buildWorkload(spec.Workload, spec.Pages, *spec.Seed)
+		wl, err = buildWorkload(s.Workload, s.Pages, s.Seed)
 		if err != nil {
 			return sim.Config{}, err
 		}
 	}
-	tiers, byteTiers, slowTiers, err := resolveTiers(spec.Tiers)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("tier setup %q: %v", spec.Tiers, err)
-	}
-	mdl, err := resolveModel(modelSpec{
-		Model: spec.Model, Alpha: *spec.Alpha, Pct: *spec.Pct,
-		WarmSolver: d.WarmSolver, WarmEps: d.WarmEps, WarmFull: d.WarmFull,
-	}, slowTiers)
+	cfg, err := s.runConfig(wl)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	return tierscape.SimConfig(tierscape.RunConfig{
-		Workload:               wl,
-		Tiers:                  tiers,
-		ByteTiers:              byteTiers,
-		Model:                  mdl,
-		OpsPerWindow:           spec.Ops,
-		SampleRate:             50,
-		Seed:                   *spec.Seed,
-		PushThreads:            spec.Push,
-		CompactBudget:          spec.CompactBudget,
-		PrefetchFaultThreshold: spec.Prefetch,
-		Recorder:               b.live,
-	})
+	cfg.Recorder = b.live
+	return tierscape.SimConfig(cfg)
 }
 
 func (b *specBuilder) closeAll() {
@@ -209,15 +99,15 @@ func (b *specBuilder) closeAll() {
 
 // runDaemonMode is the -daemon entry point; its return value is the
 // process exit code.
-func runDaemonMode(o daemonOpts) int {
+func runDaemonMode(o options) int {
 	if o.metricsAddr == "" {
 		fmt.Fprintln(os.Stderr, "daemon mode needs -metrics-addr: runtime commands arrive over HTTP")
 		return 2
 	}
 	dcfg := daemon.DefaultConfig()
-	if o.configPath != "" {
+	if o.daemonConfig != "" {
 		var err error
-		if dcfg, err = daemon.LoadConfig(o.configPath); err != nil {
+		if dcfg, err = daemon.LoadConfig(o.daemonConfig); err != nil {
 			fmt.Fprintf(os.Stderr, "daemon config: %v\n", err)
 			return 2
 		}
@@ -235,14 +125,14 @@ func runDaemonMode(o daemonOpts) int {
 
 	shutdown := make(chan struct{})
 	var shutdownOnce sync.Once
-	builder := &specBuilder{defaults: o.defaults, live: live}
+	builder := &specBuilder{defaults: o.spec, live: live}
 	hc := daemon.HandlerConfig{
 		Build: builder.build,
 		LoadConfig: func() (daemon.Config, error) {
-			if o.configPath == "" {
+			if o.daemonConfig == "" {
 				return daemon.Config{}, fmt.Errorf("daemon: no -daemon-config file to reload")
 			}
-			return daemon.LoadConfig(o.configPath)
+			return daemon.LoadConfig(o.daemonConfig)
 		},
 		Shutdown: func() { shutdownOnce.Do(func() { close(shutdown) }) },
 	}
@@ -253,20 +143,14 @@ func runDaemonMode(o daemonOpts) int {
 	dh := daemon.NewHandler(d, hc)
 	mux.Handle("/command", dh)
 	mux.Handle("/status", dh)
-	// The daemon's /healthz uses the flag-configured thresholds; the
-	// exact-path registration wins over the obs.Handler default mounted
-	// under "/".
-	mux.Handle("/healthz", obs.NewHealth(live, o.health))
-	mux.Handle("/", obs.Handler(live))
-	ln, err := net.Listen("tcp", o.metricsAddr)
+	mux.Handle("/", obs.Handler(live, o.health))
+	addr, err := obs.Serve(o.metricsAddr, mux)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "daemon listener: %v\n", err)
 		return 1
 	}
-	srv := obs.NewServer(mux)
-	go func() { _ = srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "daemon: tick %v, max %d workloads, commands at http://%s/command (also /status, /metrics, /healthz)\n",
-		dcfg.TickEvery, dcfg.MaxWorkloads, ln.Addr())
+		dcfg.TickEvery, dcfg.MaxWorkloads, addr)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -301,6 +185,5 @@ func runDaemonMode(o daemonOpts) int {
 	}
 	d.Stop()
 	builder.closeAll()
-	_ = ln.Close()
 	return code
 }

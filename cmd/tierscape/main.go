@@ -28,75 +28,149 @@ import (
 	"tierscape/internal/ztier"
 )
 
-func main() {
-	workloadName := flag.String("workload", "memcached-ycsb",
-		"workload: memcached-ycsb, memcached-memtier, redis, bfs, pagerank, xsbench, graphsage, masim, ycsb-{a..f}")
-	modelName := flag.String("model", "am",
-		"placement model: baseline, am, waterfall, hemem, gswap, tmo")
-	alpha := flag.Float64("alpha", 0.1, "analytical model knob in [0,1]")
-	warmSolver := flag.Bool("warm-solver", false, "enable the warm-start incremental MCKP solver (model am; placements identical to cold at -warm-eps 0)")
-	warmEps := flag.Float64("warm-eps", 0, "warm solver: relative drift tolerance for reusing a cached region class (0 = rebuild on any change)")
-	warmFull := flag.Int("warm-full", 0, "warm solver: force a full re-solve every N windows (0 = default cadence)")
-	pct := flag.Float64("pct", 25, "hotness percentile threshold for threshold models")
-	tiers := flag.String("tiers", "standard", "tier setup: standard (DRAM+NVMM+CT1+CT2), spectrum (DRAM+C1,C2,C4,C7,C12), or a JSON file (see -tiers help)")
-	windows := flag.Int("windows", 8, "profile windows to run")
-	ops := flag.Int("ops", 20000, "operations per window")
-	pages := flag.Int64("pages", 16*tierscape.RegionPages, "workload footprint in 4 KB pages")
-	seed := flag.Uint64("seed", 42, "random seed")
-	prefetch := flag.Int("prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
-	push := flag.Int("push", 2, "push threads applying migrations (results identical at any value)")
-	compactBudget := flag.Int("compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
-	record := flag.String("record", "", "record the access trace to this file while running")
-	replay := flag.String("replay", "", "replay a recorded trace file as the workload")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-	metricsHold := flag.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes")
-	events := flag.String("events", "", "write the run's deterministic JSONL event stream to this file")
-	windowsCSV := flag.String("windows-csv", "", "write per-window snapshots as CSV rows to this file (deterministic channel)")
-	healthPressure := flag.Float64("health-max-pressure", 0.25, "healthz: degrade when the last window's PSI-style stall fraction exceeds this (0 disables)")
-	healthThrash := flag.Int("health-max-thrash", 64, "healthz: degrade when regions over the ping-pong thrash threshold exceed this (0 disables)")
-	healthStorm := flag.Float64("health-max-storm-bps", float64(8<<30), "healthz: degrade when the last window's migration traffic rate exceeds this many bytes/sec (0 disables)")
-	healthFallback := flag.Float64("health-max-fallback-rate", 0.5, "healthz: degrade when cumulative solver fallbacks per window exceed this (0 disables)")
-	showTrace := flag.Bool("trace", false, "print the per-window span trace (phase wall times, prepare/commit split, commit stalls)")
-	daemonMode := flag.Bool("daemon", false, "run as a resident tiering daemon: workloads attach/detach at runtime via POST /command on -metrics-addr (required); other flags become attach-spec defaults")
-	daemonConfigPath := flag.String("daemon-config", "", "daemon config JSON file ({\"tick_every\":\"1s\",\"max_workloads\":8}); re-read by the reload command")
-	tick := flag.Duration("tick", 0, "daemon tick period override: one profile window per attached workload per tick")
-	flag.Parse()
+// runSpec is every knob of one run. The flags bind directly into one
+// runSpec; in daemon mode it is the default each attach spec is decoded
+// onto, so an absent key inherits the flag and a present key overrides
+// it, 0 included. Fields tagged json:"-" are flag-only and rejected as
+// unknown attach keys.
+type runSpec struct {
+	Workload      string  `json:"workload"`
+	Replay        string  `json:"replay"`
+	Model         string  `json:"model"`
+	Alpha         float64 `json:"alpha"`
+	Pct           float64 `json:"pct"`
+	Tiers         string  `json:"tiers"`
+	Pages         int64   `json:"pages"`
+	Seed          uint64  `json:"seed"`
+	Ops           int     `json:"ops"`
+	Push          int     `json:"push"`
+	Prefetch      int     `json:"prefetch"`
+	CompactBudget int     `json:"compact_budget"`
 
-	if *daemonMode {
-		os.Exit(runDaemonMode(daemonOpts{
-			configPath:  *daemonConfigPath,
-			tick:        *tick,
-			metricsAddr: *metricsAddr,
-			health: obs.HealthConfig{
-				MaxPressure:         *healthPressure,
-				MaxThrashRegions:    *healthThrash,
-				MaxStormBytesPerSec: *healthStorm,
-				MaxFallbackRate:     *healthFallback,
-			},
-			defaults: specDefaults{
-				Workload:      *workloadName,
-				Model:         *modelName,
-				Alpha:         *alpha,
-				Pct:           *pct,
-				Tiers:         *tiers,
-				Pages:         *pages,
-				Seed:          *seed,
-				Ops:           *ops,
-				Push:          *push,
-				Prefetch:      *prefetch,
-				CompactBudget: *compactBudget,
-				WarmSolver:    *warmSolver,
-				WarmEps:       *warmEps,
-				WarmFull:      *warmFull,
-			},
-		}))
+	// Windows is batch-only: the daemon decides how long a workload runs.
+	Windows int `json:"-"`
+	// The warm solver is daemon-wide.
+	WarmSolver bool    `json:"-"`
+	WarmEps    float64 `json:"-"`
+	WarmFull   int     `json:"-"`
+}
+
+// options is the parsed command line: the run spec plus the flags that
+// configure the process around it.
+type options struct {
+	spec   runSpec
+	health obs.HealthConfig
+
+	record, metricsAddr, events, windowsCSV, daemonConfig string
+	metricsHold, tick                                     time.Duration
+	showTrace, daemon                                     bool
+}
+
+// parseFlags binds every flag into one options value, parses args and
+// validates the run spec.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	o := options{health: obs.DefaultHealthConfig()}
+	s := &o.spec
+	fs.StringVar(&s.Workload, "workload", "memcached-ycsb",
+		"workload: memcached-ycsb, memcached-memtier, redis, bfs, pagerank, xsbench, graphsage, masim, ycsb-{a..f}")
+	fs.StringVar(&s.Model, "model", "am",
+		"placement model: baseline, am, waterfall, hemem, gswap, tmo")
+	fs.Float64Var(&s.Alpha, "alpha", 0.1, "analytical model knob in [0,1]")
+	fs.BoolVar(&s.WarmSolver, "warm-solver", false, "enable the warm-start incremental MCKP solver (model am; placements identical to cold at -warm-eps 0)")
+	fs.Float64Var(&s.WarmEps, "warm-eps", 0, "warm solver: relative drift tolerance for reusing a cached region class (0 = rebuild on any change)")
+	fs.IntVar(&s.WarmFull, "warm-full", 0, "warm solver: force a full re-solve every N windows (0 = default cadence)")
+	fs.Float64Var(&s.Pct, "pct", 25, "hotness percentile threshold for threshold models")
+	fs.StringVar(&s.Tiers, "tiers", "standard", "tier setup: standard (DRAM+NVMM+CT1+CT2), spectrum (DRAM+C1,C2,C4,C7,C12), or a JSON file (see -tiers help)")
+	fs.IntVar(&s.Windows, "windows", 8, "profile windows to run")
+	fs.IntVar(&s.Ops, "ops", 20000, "operations per window")
+	fs.Int64Var(&s.Pages, "pages", 16*tierscape.RegionPages, "workload footprint in 4 KB pages")
+	fs.Uint64Var(&s.Seed, "seed", 42, "random seed")
+	fs.IntVar(&s.Prefetch, "prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
+	fs.IntVar(&s.Push, "push", 2, "push threads applying migrations (results identical at any value)")
+	fs.IntVar(&s.CompactBudget, "compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
+	fs.StringVar(&o.record, "record", "", "record the access trace to this file while running")
+	fs.StringVar(&s.Replay, "replay", "", "replay a recorded trace file as the workload")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
+	fs.DurationVar(&o.metricsHold, "metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes")
+	fs.StringVar(&o.events, "events", "", "write the run's deterministic JSONL event stream to this file")
+	fs.StringVar(&o.windowsCSV, "windows-csv", "", "write per-window snapshots as CSV rows to this file (deterministic channel)")
+	fs.Float64Var(&o.health.MaxPressure, "health-max-pressure", o.health.MaxPressure, "healthz: degrade when the last window's PSI-style stall fraction exceeds this (0 disables)")
+	fs.IntVar(&o.health.MaxThrashRegions, "health-max-thrash", o.health.MaxThrashRegions, "healthz: degrade when regions over the ping-pong thrash threshold exceed this (0 disables)")
+	fs.Float64Var(&o.health.MaxStormBytesPerSec, "health-max-storm-bps", o.health.MaxStormBytesPerSec, "healthz: degrade when the last window's migration traffic rate exceeds this many bytes/sec (0 disables)")
+	fs.Float64Var(&o.health.MaxFallbackRate, "health-max-fallback-rate", o.health.MaxFallbackRate, "healthz: degrade when cumulative solver fallbacks per window exceed this (0 disables)")
+	fs.BoolVar(&o.showTrace, "trace", false, "print the per-window span trace (phase wall times, prepare/commit split, commit stalls)")
+	fs.BoolVar(&o.daemon, "daemon", false, "run as a resident tiering daemon: workloads attach/detach at runtime via POST /command on -metrics-addr (required); other flags become attach-spec defaults")
+	fs.StringVar(&o.daemonConfig, "daemon-config", "", "daemon config JSON file ({\"tick_every\":\"1s\",\"max_workloads\":8}); re-read by the reload command")
+	fs.DurationVar(&o.tick, "tick", 0, "daemon tick period override: one profile window per attached workload per tick")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, s.validate()
+}
+
+// validate rejects out-of-range counts. parseFlags calls it on the flags
+// in both modes, and the daemon on every decoded attach spec. Push 0
+// keeps RunConfig's meaning, the engine default.
+func (s runSpec) validate() error {
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"pages", s.Pages, 1},
+		{"ops", int64(s.Ops), 1},
+		{"push", int64(s.Push), 0},
+		{"prefetch", int64(s.Prefetch), 0},
+		{"compact_budget", int64(s.CompactBudget), 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("%s must be at least %d, got %d", f.name, f.min, f.v)
+		}
+	}
+	return nil
+}
+
+// runConfig lowers s to the facade's run config over wl, resolving the
+// tier setup and the placement model. Each mode builds its own wl (batch
+// mode rewinds replays, the daemon streams them) and sets the Recorder.
+func (s runSpec) runConfig(wl tierscape.Workload) (cfg tierscape.RunConfig, err error) {
+	tiers, byteTiers, slowTiers, err := resolveTiers(s.Tiers)
+	if err != nil {
+		return cfg, fmt.Errorf("tier setup %q: %v", s.Tiers, err)
+	}
+	mdl, err := s.model(slowTiers)
+	if err != nil {
+		return cfg, err
+	}
+	return tierscape.RunConfig{
+		Workload:               wl,
+		Tiers:                  tiers,
+		ByteTiers:              byteTiers,
+		Model:                  mdl,
+		Windows:                s.Windows,
+		OpsPerWindow:           s.Ops,
+		SampleRate:             50,
+		Seed:                   s.Seed,
+		PushThreads:            s.Push,
+		CompactBudget:          s.CompactBudget,
+		PrefetchFaultThreshold: s.Prefetch,
+	}, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if o.daemon {
+		os.Exit(runDaemonMode(o))
 	}
 
 	var wl tierscape.Workload
 	var recorder *trace.Recorder
 	switch {
-	case *replay != "":
-		f, err := os.Open(*replay)
+	case o.spec.Replay != "":
+		f, err := os.Open(o.spec.Replay)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -109,14 +183,13 @@ func main() {
 		}
 		wl = tr
 	default:
-		var err error
-		wl, err = buildWorkload(*workloadName, *pages, *seed)
+		wl, err = buildWorkload(o.spec.Workload, o.spec.Pages, o.spec.Seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if *record != "" {
-			f, err := os.Create(*record)
+		if o.record != "" {
+			f, err := os.Create(o.record)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -130,16 +203,10 @@ func main() {
 			wl = recorder
 		}
 	}
-
-	cfg := tierscape.RunConfig{
-		Workload:               wl,
-		Windows:                *windows,
-		OpsPerWindow:           *ops,
-		SampleRate:             50,
-		Seed:                   *seed,
-		PushThreads:            *push,
-		CompactBudget:          *compactBudget,
-		PrefetchFaultThreshold: *prefetch,
+	cfg, err := o.spec.runConfig(wl)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	// Observability: each enabled sink becomes one leg of a tee. The
@@ -147,26 +214,26 @@ func main() {
 	// the same events at any -push value; the live aggregator additionally
 	// sees wall-clock runtime spans.
 	var recs []tierscape.Recorder
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		live := tierscape.NewLiveMetrics()
-		addr, err := tierscape.ServeMetrics(*metricsAddr, live)
+		addr, err := obs.Serve(o.metricsAddr, obs.Handler(live, o.health))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics listener: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
 		recs = append(recs, live)
-		if *metricsHold > 0 {
+		if o.metricsHold > 0 {
 			defer func() {
-				fmt.Fprintf(os.Stderr, "holding metrics endpoint for %v\n", *metricsHold)
-				time.Sleep(*metricsHold)
+				fmt.Fprintf(os.Stderr, "holding metrics endpoint for %v\n", o.metricsHold)
+				time.Sleep(o.metricsHold)
 			}()
 		}
 	}
 	var stream *tierscape.EventStream
 	var eventsFile *os.File
-	if *events != "" {
-		f, err := os.Create(*events)
+	if o.events != "" {
+		f, err := os.Create(o.events)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "events file: %v\n", err)
 			os.Exit(1)
@@ -177,8 +244,8 @@ func main() {
 	}
 	var windowCSV *obs.CSVWriter
 	var windowCSVFile *os.File
-	if *windowsCSV != "" {
-		f, err := os.Create(*windowsCSV)
+	if o.windowsCSV != "" {
+		f, err := os.Create(o.windowsCSV)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "windows-csv file: %v\n", err)
 			os.Exit(1)
@@ -188,26 +255,11 @@ func main() {
 		recs = append(recs, windowCSV)
 	}
 	var capture *tierscape.MetricsRecorder
-	if *showTrace {
+	if o.showTrace {
 		capture = &tierscape.MetricsRecorder{}
 		recs = append(recs, capture)
 	}
 	cfg.Recorder = tierscape.TeeRecorders(recs...)
-	var slowTiers map[string]tierscape.TierID
-	var err error
-	cfg.Tiers, cfg.ByteTiers, slowTiers, err = resolveTiers(*tiers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tier setup %q: %v\n", *tiers, err)
-		os.Exit(2)
-	}
-	cfg.Model, err = resolveModel(modelSpec{
-		Model: *modelName, Alpha: *alpha, Pct: *pct,
-		WarmSolver: *warmSolver, WarmEps: *warmEps, WarmFull: *warmFull,
-	}, slowTiers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	res, err := tierscape.Run(cfg)
 	if err != nil {
@@ -219,7 +271,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "closing trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace recorded to %s\n", *record)
+		fmt.Printf("trace recorded to %s\n", o.record)
 	}
 
 	fmt.Printf("workload: %s   model: %s   footprint: %d pages (%d regions)\n",
@@ -249,7 +301,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "closing events file: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("events written to %s\n", *events)
+		fmt.Printf("events written to %s\n", o.events)
 	}
 	if windowCSV != nil {
 		if err := windowCSV.Err(); err != nil {
@@ -260,7 +312,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "closing windows CSV: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("window snapshots written to %s\n", *windowsCSV)
+		fmt.Printf("window snapshots written to %s\n", o.windowsCSV)
 	}
 	if capture != nil {
 		printTrace(capture)
@@ -288,7 +340,6 @@ func printTrace(m *tierscape.MetricsRecorder) {
 
 // resolveTiers maps a -tiers value (standard, spectrum, or a JSON tier
 // file) to the tier lineup plus each baseline model's slow-tier target.
-// Shared by the batch path and the daemon's attach-spec builder.
 func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, map[string]tierscape.TierID, error) {
 	switch name {
 	case "standard":
@@ -315,19 +366,9 @@ func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, m
 	}
 }
 
-// modelSpec bundles the model-selection knobs (flag values or attach-spec
-// fields) for resolveModel.
-type modelSpec struct {
-	Model      string
-	Alpha, Pct float64
-	WarmSolver bool
-	WarmEps    float64
-	WarmFull   int
-}
-
-// resolveModel builds the placement model for a spec; nil means the
-// all-DRAM baseline.
-func resolveModel(s modelSpec, slowTiers map[string]tierscape.TierID) (tierscape.Model, error) {
+// model builds the placement model for s; nil means the all-DRAM
+// baseline.
+func (s runSpec) model(slowTiers map[string]tierscape.TierID) (tierscape.Model, error) {
 	switch s.Model {
 	case "baseline":
 		return nil, nil

@@ -98,7 +98,7 @@ func TestHealthDisabledChecks(t *testing.T) {
 
 func TestHealthEndpoint(t *testing.T) {
 	l := NewLive()
-	srv := httptest.NewServer(Handler(l))
+	srv := httptest.NewServer(Handler(l, DefaultHealthConfig()))
 	defer srv.Close()
 
 	get := func() (int, HealthStatus) {

@@ -205,18 +205,16 @@ func (l *Live) PublishExpvar() {
 //	/debug/vars     expvar JSON (includes the "tierscape" variable)
 //	/debug/pprof/*  the net/http/pprof suite
 //
-// The health evaluator uses DefaultHealthConfig; servers that want
-// custom thresholds (the resident daemon does) mount their own
-// NewHealth handler at /healthz on a wrapping mux — the more specific
-// pattern wins.
-func Handler(l *Live) http.Handler {
+// /healthz evaluates hc's thresholds (DefaultHealthConfig for the stock
+// ones).
+func Handler(l *Live, hc HealthConfig) http.Handler {
 	l.PublishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = l.WritePrometheus(w)
 	})
-	mux.Handle("/healthz", NewHealth(l, DefaultHealthConfig()))
+	mux.Handle("/healthz", NewHealth(l, hc))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -227,27 +225,21 @@ func Handler(l *Live) http.Handler {
 }
 
 // Serve binds addr (e.g. ":9090", or ":0" to pick a free port), serves
-// Handler(l) on it for the life of the process, and returns the bound
-// address.
-func Serve(addr string, l *Live) (net.Addr, error) {
+// h (Handler, or a mux wrapping it) on it for the life of the process,
+// and returns the bound address. The server sets a header-read deadline
+// against slowloris clients and an idle deadline to shed dead
+// keep-alives, but no write timeout: the pprof profile and trace
+// endpoints legitimately stream for 30 s or more.
+func Serve(addr string, h http.Handler) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := NewServer(Handler(l))
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr(), nil
-}
-
-// NewServer wraps h in an http.Server with the introspection endpoints'
-// standard timeouts: a header-read deadline against slowloris clients
-// and an idle deadline to shed dead keep-alives. No write timeout — the
-// pprof profile and trace endpoints legitimately stream for 30 s or
-// more.
-func NewServer(h http.Handler) *http.Server {
-	return &http.Server{
+	srv := &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	go func() { _ = srv.Serve(ln) }()
+	return ln.Addr(), nil
 }

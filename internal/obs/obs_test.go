@@ -227,7 +227,7 @@ func TestLivePrometheus(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	l := NewLive()
 	l.RecordWindow(snap(1, 10))
-	srv := httptest.NewServer(Handler(l))
+	srv := httptest.NewServer(Handler(l, DefaultHealthConfig()))
 	defer srv.Close()
 
 	get := func(path string) string {

@@ -117,10 +117,13 @@ func NewWindowCSV(w io.Writer) *obs.CSVWriter { return obs.NewCSV(w) }
 // returns nil, the disabled state.
 func TeeRecorders(recs ...Recorder) Recorder { return obs.Tee(recs...) }
 
-// ServeMetrics serves /metrics (Prometheus text), /debug/vars (expvar)
-// and /debug/pprof on addr (e.g. ":9090", ":0" for a free port) for the
-// life of the process and returns the bound address.
-func ServeMetrics(addr string, l *LiveMetrics) (net.Addr, error) { return obs.Serve(addr, l) }
+// ServeMetrics serves /metrics (Prometheus text), /healthz (stock
+// thresholds), /debug/vars (expvar) and /debug/pprof on addr (e.g.
+// ":9090", ":0" for a free port) for the life of the process and returns
+// the bound address.
+func ServeMetrics(addr string, l *LiveMetrics) (net.Addr, error) {
+	return obs.Serve(addr, obs.Handler(l, obs.DefaultHealthConfig()))
+}
 
 // Media kinds.
 const (
