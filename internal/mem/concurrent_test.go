@@ -88,7 +88,7 @@ func TestConcurrentStressManager(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			m.CompactAll()
+			m.CompactBudgeted(0)
 			m.TierPages()
 			m.TierFootprintBytes()
 			m.Counters()

@@ -110,7 +110,7 @@ func TestSampleRegionRatioTracksContent(t *testing.T) {
 	}
 }
 
-func TestCompactAllReclaims(t *testing.T) {
+func TestCompactUnboundedReclaims(t *testing.T) {
 	m, err := NewManager(Config{
 		NumPages:        2 * RegionPages,
 		Content:         corpus.NewGenerator(corpus.Dickens, 3),
@@ -133,11 +133,11 @@ func TestCompactAllReclaims(t *testing.T) {
 			}
 		}
 	}
-	reclaimed, ns := m.CompactAll()
-	if reclaimed <= 0 {
+	cs := m.CompactBudgeted(0)
+	if cs.PagesReclaimed <= 0 {
 		t.Fatal("compaction reclaimed nothing after fragmentation")
 	}
-	if ns <= 0 {
+	if cs.CostNs <= 0 {
 		t.Fatal("compaction must cost daemon time")
 	}
 	// Everything still readable.

@@ -882,9 +882,7 @@ func (m *Manager) TierFootprintBytes() []int64 {
 		out[i] = b.pages.Load() * PageSize
 	}
 	for i, c := range m.cts {
-		// Commit-time page accounting: reads the pool footprint without
-		// the tier lock, so TCO sampling never stalls a commit.
-		out[len(m.ba)+i] = int64(c.tier.LivePoolPages()) * PageSize
+		out[len(m.ba)+i] = c.tier.Stats().PoolBytes()
 	}
 	return out
 }
@@ -1003,15 +1001,6 @@ func (m *Manager) SampleRegionRatio(r RegionID, codecName string, samples int) (
 		return 1, nil
 	}
 	return float64(comp) / float64(orig), nil
-}
-
-// CompactAll compacts every compressed tier's pool to completion (the
-// kernel's zs_compact pass TS-Daemon triggers between windows) and
-// returns the total pool pages reclaimed and the modeled daemon cost.
-// Equivalent to CompactBudgeted(0).
-func (m *Manager) CompactAll() (int, float64) {
-	cs := m.CompactBudgeted(0)
-	return cs.PagesReclaimed, cs.CostNs
 }
 
 // CompactStats reports what one budgeted compaction pass over the

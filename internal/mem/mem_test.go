@@ -648,7 +648,7 @@ func checkPlacement(t *testing.T, m *Manager, step string) (compressed int) {
 		t.Fatalf("%s: tier residency sums to %d, want %d", step, sum, m.NumPages())
 	}
 	for _, ct := range m.cts {
-		if got, live := ct.pages.Load(), ct.tier.LivePages(); got != live {
+		if got, live := ct.pages.Load(), int64(ct.tier.Stats().Pages); got != live {
 			t.Fatalf("%s: tier %s counts %d pages but holds %d live objects", step, ct.info.Name, got, live)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -92,16 +93,22 @@ func (l *Live) WritePrometheus(w io.Writer) error {
 	if len(s.daemonCommands) > 0 {
 		p("# HELP tierscape_daemon_commands_total Daemon runtime commands completed, by op and outcome.\n")
 		p("# TYPE tierscape_daemon_commands_total counter\n")
-		for _, c := range s.daemonCommands {
-			p("tierscape_daemon_commands_total{op=%q,outcome=\"ok\"} %d\n", c.Op, c.OK)
-			p("tierscape_daemon_commands_total{op=%q,outcome=\"error\"} %d\n", c.Op, c.Err)
+		ops := make([]string, 0, len(s.daemonCommands))
+		for op := range s.daemonCommands {
+			ops = append(ops, op)
+		}
+		sort.Strings(ops)
+		for _, op := range ops {
+			c := s.daemonCommands[op]
+			p("tierscape_daemon_commands_total{op=%q,outcome=\"ok\"} %d\n", op, c.OK)
+			p("tierscape_daemon_commands_total{op=%q,outcome=\"error\"} %d\n", op, c.Err)
 		}
 	}
 
 	if len(s.flows) > 0 {
 		p("# HELP tierscape_migrated_pages_total Pages migrated by source and destination tier.\n")
 		p("# TYPE tierscape_migrated_pages_total counter\n")
-		for _, f := range s.flows {
+		for _, f := range s.sortedFlows() {
 			p("tierscape_migrated_pages_total{from=%q,to=%q} %d\n",
 				strconv.Itoa(f.From), strconv.Itoa(f.To), f.Pages)
 		}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -12,7 +14,12 @@ import (
 // runs while gauges reflect the most recently completed window.
 type Live struct {
 	mu sync.Mutex
+	liveState
+}
 
+// liveState is everything Live aggregates. Live guards it with its mutex;
+// snapshot copies it under the lock for the exposition formats.
+type liveState struct {
 	// Counters, accumulated across every recorded window.
 	windows, moves, rejected, skipped, tierFullMoves int64
 	compactedPages                                   int64
@@ -32,9 +39,9 @@ type Live struct {
 	// Per-tier latency histogram accumulation, indexed by serving tier.
 	latency []tierLatency
 
-	// Health surface: the /healthz evaluator's current state (true = ok)
-	// and its ok/degraded transition counters. Healthy until an evaluator
-	// reports otherwise.
+	// Health surface: the /healthz evaluator's current state (true =
+	// degraded) and its ok/degraded transition counters. Healthy until
+	// an evaluator reports otherwise.
 	healthDegraded    bool
 	healthTransitions map[string]int64
 
@@ -49,14 +56,14 @@ type Live struct {
 	// methods).
 	daemonTicks    int64
 	daemonAttached int64
-	daemonCommands map[string]*commandOutcomes
+	daemonCommands map[string]commandOutcomes
 
 	// Gauges: the last window snapshot recorded (any run).
 	last    WindowSnapshot
 	hasLast bool
 
 	// flows accumulates the src→dst migration matrix across windows.
-	flows map[[2]int]*TierFlow
+	flows map[[2]int]TierFlow
 }
 
 // commandOutcomes counts one daemon command op's ok/error completions.
@@ -79,11 +86,11 @@ type tierLatency struct {
 
 // NewLive returns an empty aggregator.
 func NewLive() *Live {
-	return &Live{
-		flows:             make(map[[2]int]*TierFlow),
-		daemonCommands:    make(map[string]*commandOutcomes),
-		healthTransitions: make(map[string]int64),
-	}
+	return &Live{liveState: liveState{
+		flows:             make(map[[2]int]TierFlow),
+		daemonCommands:    make(map[string]commandOutcomes),
+		healthTransitions: map[string]int64{"ok": 0, "degraded": 0},
+	}}
 }
 
 // setHealth records the /healthz evaluator's state, counting a
@@ -124,15 +131,12 @@ func (l *Live) AddDaemonCommand(op string, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := l.daemonCommands[op]
-	if c == nil {
-		c = &commandOutcomes{}
-		l.daemonCommands[op] = c
-	}
 	if ok {
 		c.OK++
 	} else {
 		c.Err++
 	}
+	l.daemonCommands[op] = c
 }
 
 // RecordWindow implements Recorder.
@@ -187,13 +191,11 @@ func (l *Live) RecordWindow(w WindowSnapshot) {
 	}
 	for _, f := range w.Migrations {
 		k := [2]int{f.From, f.To}
-		c, ok := l.flows[k]
-		if !ok {
-			c = &TierFlow{From: f.From, To: f.To}
-			l.flows[k] = c
-		}
+		c := l.flows[k]
+		c.From, c.To = f.From, f.To
 		c.Pages += f.Pages
 		c.Rejected += f.Rejected
+		l.flows[k] = c
 	}
 	l.last = w
 	l.hasLast = true
@@ -216,84 +218,34 @@ func (l *Live) RecordRuntime(rt WindowRuntime) {
 	l.stallNs += rt.Sched.StallNs
 }
 
-// liveSnapshot is a consistent copy of the aggregator's state, taken
+// snapshot returns a consistent copy of the aggregator's state, taken
 // under the lock, from which the exposition formats render.
-type liveSnapshot struct {
-	windows, moves, rejected, skipped, tierFullMoves int64
-	compactedPages                                   int64
-	compactObjectsMoved, compactSkippedTiers         int64
-	droppedPressure, droppedCapacity, droppedBudget  int64
-	appNs, daemonNs, solverNs                        float64
-	warmHits, classesReused, classesRebuilt          int64
-	solverFallbacks                                  int64
-	faultStallNs, interferenceNs                     float64
-	tierStallNs                                      []float64
-	pingPongMoves, migratedBytes                     int64
-	latency                                          []tierLatency
-	healthDegraded                                   bool
-	healthTransitions                                map[string]int64
-	phaseNs                                          [NumPhases]float64
-	prepareNs, commitNs                              float64
-	blocked, stallNs                                 int64
-	daemonTicks, daemonAttached                      int64
-	daemonCommands                                   []commandCount
-	last                                             WindowSnapshot
-	hasLast                                          bool
-	flows                                            []TierFlow
-}
-
-// commandCount is one daemon command op's outcome counters, in the
-// op-sorted order the exposition formats render.
-type commandCount struct {
-	Op      string
-	OK, Err int64
-}
-
-func (l *Live) snapshot() liveSnapshot {
+func (l *Live) snapshot() liveState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := liveSnapshot{
-		windows: l.windows, moves: l.moves, rejected: l.rejected,
-		skipped: l.skipped, tierFullMoves: l.tierFullMoves,
-		compactedPages:      l.compactedPages,
-		compactObjectsMoved: l.compactObjectsMoved,
-		compactSkippedTiers: l.compactSkippedTiers,
-		droppedPressure:     l.droppedPressure, droppedCapacity: l.droppedCapacity,
-		droppedBudget: l.droppedBudget,
-		appNs:         l.appNs, daemonNs: l.daemonNs, solverNs: l.solverNs,
-		warmHits: l.warmHits, classesReused: l.classesReused,
-		classesRebuilt: l.classesRebuilt, solverFallbacks: l.solverFallbacks,
-		faultStallNs: l.faultStallNs, interferenceNs: l.interferenceNs,
-		tierStallNs:   append([]float64(nil), l.tierStallNs...),
-		pingPongMoves: l.pingPongMoves, migratedBytes: l.migratedBytes,
-		latency:        append([]tierLatency(nil), l.latency...),
-		healthDegraded: l.healthDegraded,
-		healthTransitions: map[string]int64{
-			"ok":       l.healthTransitions["ok"],
-			"degraded": l.healthTransitions["degraded"],
-		},
-		phaseNs:   l.phaseNs,
-		prepareNs: l.prepareNs, commitNs: l.commitNs,
-		blocked: l.blocked, stallNs: l.stallNs,
-		daemonTicks: l.daemonTicks, daemonAttached: l.daemonAttached,
-		last: l.last, hasLast: l.hasLast,
-	}
-	for op, c := range l.daemonCommands {
-		s.daemonCommands = append(s.daemonCommands, commandCount{Op: op, OK: c.OK, Err: c.Err})
-	}
-	sort.Slice(s.daemonCommands, func(a, b int) bool {
-		return s.daemonCommands[a].Op < s.daemonCommands[b].Op
-	})
-	for _, f := range l.flows {
-		s.flows = append(s.flows, *f)
-	}
-	sort.Slice(s.flows, func(a, b int) bool {
-		if s.flows[a].From != s.flows[b].From {
-			return s.flows[a].From < s.flows[b].From
-		}
-		return s.flows[a].To < s.flows[b].To
-	})
+	s := l.liveState
+	s.tierStallNs = slices.Clone(l.tierStallNs)
+	s.latency = slices.Clone(l.latency)
+	s.healthTransitions = maps.Clone(l.healthTransitions)
+	s.daemonCommands = maps.Clone(l.daemonCommands)
+	s.flows = maps.Clone(l.flows)
 	return s
+}
+
+// sortedFlows returns the migration matrix in (From, To) order, or nil
+// when no move was recorded.
+func (s *liveState) sortedFlows() []TierFlow {
+	var out []TierFlow
+	for _, f := range s.flows {
+		out = append(out, f)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].From != out[b].From {
+			return out[a].From < out[b].From
+		}
+		return out[a].To < out[b].To
+	})
+	return out
 }
 
 // Vars returns the aggregator's state as a plain map for expvar
@@ -335,14 +287,14 @@ func (l *Live) Vars() any {
 		"commit_wall_ns":        s.commitNs,
 		"sched_blocked":         s.blocked,
 		"sched_stall_ns":        s.stallNs,
-		"migrations":            s.flows,
+		"migrations":            s.sortedFlows(),
 	}
 	v["daemon_ticks"] = s.daemonTicks
 	v["daemon_attached_workloads"] = s.daemonAttached
 	if len(s.daemonCommands) > 0 {
 		cmds := make(map[string]map[string]int64, len(s.daemonCommands))
-		for _, c := range s.daemonCommands {
-			cmds[c.Op] = map[string]int64{"ok": c.OK, "error": c.Err}
+		for op, c := range s.daemonCommands {
+			cmds[op] = map[string]int64{"ok": c.OK, "error": c.Err}
 		}
 		v["daemon_commands"] = cmds
 	}

@@ -36,8 +36,8 @@ type Recorder interface {
 	// producers build fresh slices per window.
 	RecordWindow(WindowSnapshot)
 	// RecordMove receives one applied migration move. Moves of a window
-	// arrive after its apply phase completes, in ascending job order —
-	// per-worker shard buffers are merged by job index before delivery,
+	// arrive after its apply phase completes, in ascending job order;
+	// each event is built from the plan move and its job-indexed outcome,
 	// so the order (and content) is identical at every PushThreads.
 	RecordMove(MoveEvent)
 	// RecordRuntime receives the wall-clock telemetry of one window:

@@ -24,12 +24,11 @@
 //
 // Observability rides along behind a nil check: with no applyTrace the
 // engine does exactly the work above and nothing else. With one, workers
-// additionally record per-move events into per-worker shards (merged in
-// job order by the caller — see obs.Shards for why that is
-// deterministic), accumulate the wall-clock prepare/commit split, and the
-// turnstile's contention counters are collected after the pool drains.
-// None of the traced values feed back into placement, so tracing can
-// never perturb results.
+// accumulate the wall-clock prepare/commit split, and the turnstile's
+// contention counters are collected after the pool drains. Move events
+// need no help from the engine: the caller builds them from the
+// job-indexed outcomes. None of the traced values feed back into
+// placement, so tracing can never perturb results.
 package sim
 
 import (
@@ -52,37 +51,13 @@ type moveOutcome struct {
 	Full bool
 }
 
-// applyTrace collects one window's apply-phase observability. A nil
-// *applyTrace disables all of it; the engine's only residual cost is the
-// nil checks.
+// applyTrace collects one window's apply-phase wall-clock telemetry. A
+// nil *applyTrace disables all of it; the engine's only residual cost is
+// the nil checks.
 type applyTrace struct {
-	window    int
-	shards    *obs.Shards
 	prepareNs atomic.Int64
 	commitNs  atomic.Int64
 	sched     obs.SchedulerStats
-}
-
-// newApplyTrace returns a trace for one window's apply with capacity for
-// `workers` event shards.
-func newApplyTrace(window, workers int) *applyTrace {
-	return &applyTrace{window: window, shards: obs.NewShards(workers)}
-}
-
-// event builds the deterministic move event for job i.
-func (tr *applyTrace) event(i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
-	return obs.MoveEvent{
-		Window:    tr.window,
-		Job:       i,
-		Region:    int64(mv.Region),
-		From:      int(mv.From),
-		To:        int(mv.Dest),
-		Moved:     out.Moved,
-		Rejected:  out.Rejected,
-		Skipped:   out.Skipped,
-		Full:      out.Full,
-		LatencyNs: out.LatencyNs,
-	}
 }
 
 // finishMove settles job i's outcome: a full destination
@@ -90,15 +65,12 @@ func (tr *applyTrace) event(i int, mv policy.Move, out moveOutcome) obs.MoveEven
 // partial accounting stays valid, matching the migrateRegion helper — and
 // lands on the outcome's Full flag; any other error is returned as the
 // job's hard failure and records nothing.
-func finishMove(tr *applyTrace, shard, i int, mv policy.Move, mr mem.MigrationResult, err error, results []moveOutcome) error {
+func finishMove(i int, mr mem.MigrationResult, err error, results []moveOutcome) error {
 	full := errors.Is(err, mem.ErrTierFull)
 	if err != nil && !full {
 		return err
 	}
 	results[i] = moveOutcome{MigrationResult: mr, Full: full}
-	if tr != nil {
-		tr.shards.Record(shard, tr.event(i, mv, results[i]))
-	}
 	return nil
 }
 
@@ -161,7 +133,7 @@ func applyMoves(m *mem.Manager, moves []policy.Move, workers int, tr *applyTrace
 	// runJob prepares job i, waits for job i-1 to commit, commits job i
 	// and lets job i+1 through. Every job takes its turn, even after a
 	// prepare error, or its successors would wait forever.
-	runJob := func(shard, i int, sc *mem.MigrationScratch) {
+	runJob := func(i int, sc *mem.MigrationScratch) {
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
@@ -182,14 +154,14 @@ func applyMoves(m *mem.Manager, moves []policy.Move, workers int, tr *applyTrace
 				tr.commitNs.Add(int64(time.Since(t1)))
 			}
 		}
-		errs[i] = finishMove(tr, shard, i, moves[i], mr, err, results)
+		errs[i] = finishMove(i, mr, err, results)
 		ts.advance()
 	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
 			sc := &mem.MigrationScratch{}
 			defer sc.Drain()
@@ -198,9 +170,9 @@ func applyMoves(m *mem.Manager, moves []policy.Move, workers int, tr *applyTrace
 				if i >= n {
 					return
 				}
-				runJob(shard, i, sc)
+				runJob(i, sc)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if tr != nil {

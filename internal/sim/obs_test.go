@@ -166,7 +166,7 @@ func TestConcurrentWarmObsStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestObsMoveEventOrder: the merged stream delivers each window's moves in
+// TestObsMoveEventOrder: the stream delivers each window's moves in
 // ascending job order, between window boundaries.
 func TestObsMoveEventOrder(t *testing.T) {
 	_, cap, _ := obsRun(t, &model.Waterfall{Pct: 50}, 8)
@@ -179,7 +179,7 @@ func TestObsMoveEventOrder(t *testing.T) {
 			lastWindow, lastJob = ev.Window, -1
 		}
 		if ev.Job <= lastJob {
-			t.Fatalf("window %d: job %d arrived after job %d; merge must be job-ascending",
+			t.Fatalf("window %d: job %d arrived after job %d; events must be job-ascending",
 				ev.Window, ev.Job, lastJob)
 		}
 		lastJob = ev.Job
@@ -368,10 +368,11 @@ func TestConcurrentObsStreamFallback(t *testing.T) {
 // TestConcurrentApplyTraceFullEvents drives applyMoves directly with a
 // plan engineered so some commits return ErrTierFull outright
 // (promotions into a bounded DRAM that is already over capacity). The
-// merged event stream must be identical at every worker count — Full
-// flags included. Runs under -race in CI (the Concurrent suite).
+// job-indexed outcomes the move events are built from must be identical
+// at every worker count — Full flags included. Runs under -race in CI
+// (the Concurrent suite).
 func TestConcurrentApplyTraceFullEvents(t *testing.T) {
-	collect := func(workers int) []obs.MoveEvent {
+	collect := func(workers int) []moveOutcome {
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 		m, err := mem.NewManager(mem.Config{
 			NumPages:          wl.NumPages(),
@@ -407,25 +408,25 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r++ {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		tr := newApplyTrace(1, workers)
-		if _, err := applyMoves(m, moves, workers, tr); err != nil {
+		out, err := applyMoves(m, moves, workers, &applyTrace{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.shards.Merge()
+		return out
 	}
 	base := collect(1)
 	fulls := 0
-	for _, ev := range base {
-		if ev.Full {
+	for _, out := range base {
+		if out.Full {
 			fulls++
 		}
 	}
 	if fulls == 0 {
-		t.Fatal("plan produced no Full-flagged events; the Full-flag pin is vacuous")
+		t.Fatal("plan produced no Full-flagged outcomes; the Full-flag pin is vacuous")
 	}
 	for _, workers := range []int{2, 8} {
 		if got := collect(workers); !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d merged event stream differs from one worker", workers)
+			t.Fatalf("workers=%d outcomes differ from one worker", workers)
 		}
 	}
 }

@@ -243,6 +243,8 @@ func (s *Stepper) Step() error {
 	}
 	rec := WindowRecord{Window: w + 1}
 	var tr *applyTrace
+	var moves []policy.Move
+	var applied []moveOutcome
 	var interferenceNs float64
 	s.decayThrash()
 
@@ -254,13 +256,15 @@ func (s *Stepper) Step() error {
 		plan := s.filter.Apply(m, r, profile)
 		if recd != nil {
 			rt.PhaseWallNs[obs.PhasePlan] = wallSince(&wall)
-			tr = newApplyTrace(w+1, s.pushThreads)
+			tr = &applyTrace{}
 		}
 		// Real push threads: pushThreads goroutines apply the plan
 		// concurrently; the deterministic in-order commit (apply.go)
 		// merges per-move accounting by job index, so the sums below
 		// are identical at every thread count.
-		applied, err := applyMoves(m, plan.Moves, s.pushThreads, tr)
+		moves = plan.Moves
+		var err error
+		applied, err = applyMoves(m, moves, s.pushThreads, tr)
 		if err != nil {
 			return fmt.Errorf("sim: window %d migration: %w", w, err)
 		}
@@ -278,8 +282,8 @@ func (s *Stepper) Step() error {
 			}
 		}
 		rec.MigrateNs = migNs
-		rec.Migrations = migrationFlows(plan.Moves, applied)
-		s.noteMoves(&rec, plan.Moves, applied)
+		rec.Migrations = migrationFlows(moves, applied)
+		s.noteMoves(&rec, moves, applied)
 		rec.DroppedPressure = plan.DroppedPressure
 		rec.DroppedCapacity = plan.DroppedCapacity
 		rec.DroppedBudget = plan.DroppedBudget
@@ -342,13 +346,25 @@ func (s *Stepper) Step() error {
 	s.totalAppNs += appNs
 
 	if recd != nil {
+		// Each event is a pure function of (window, job, plan move,
+		// outcome), read from the job-indexed outcome array, so the
+		// stream is identical at every PushThreads.
+		for i, mv := range moves {
+			out := applied[i]
+			recd.RecordMove(obs.MoveEvent{
+				Window:    w + 1,
+				Job:       i,
+				Region:    int64(mv.Region),
+				From:      int(mv.From),
+				To:        int(mv.Dest),
+				Moved:     out.Moved,
+				Rejected:  out.Rejected,
+				Skipped:   out.Skipped,
+				Full:      out.Full,
+				LatencyNs: out.LatencyNs,
+			})
+		}
 		if tr != nil {
-			// Per-worker shards merge to the canonical job-ascending
-			// event order (see obs.Shards), so the stream is identical
-			// at every PushThreads.
-			for _, ev := range tr.shards.Merge() {
-				recd.RecordMove(ev)
-			}
 			rt.PrepareWallNs = float64(tr.prepareNs.Load())
 			rt.CommitWallNs = float64(tr.commitNs.Load())
 			rt.Sched = tr.sched

@@ -34,7 +34,7 @@ func TestZsmallocCompactReclaimsPages(t *testing.T) {
 		}
 	}
 	afterFree := z.Stats().PoolPages
-	reclaimed := z.Compact()
+	reclaimed := z.CompactPartial(0).PagesReclaimed
 	afterCompact := z.Stats().PoolPages
 	if reclaimed == 0 {
 		t.Fatalf("compaction reclaimed nothing (pages: %d -> %d -> %d)",
@@ -66,7 +66,7 @@ func TestZsmallocCompactIdempotentWhenDense(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := z.Compact(); got != 0 {
+	if got := z.CompactPartial(0).PagesReclaimed; got != 0 {
 		t.Fatalf("compacting a dense pool reclaimed %d pages", got)
 	}
 }
@@ -77,8 +77,8 @@ func TestZbudZ3foldCompactNoop(t *testing.T) {
 		if _, err := p.Store(make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Compact(); got != 0 {
-			t.Fatalf("%s: Compact = %d, want 0", name, got)
+		if got := p.CompactPartial(0); got != (CompactResult{}) {
+			t.Fatalf("%s: CompactPartial(0) = %+v, want zero", name, got)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestZsmallocCompactChurnProperty(t *testing.T) {
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			case rng.Float64() < 0.05:
-				z.Compact()
+				z.CompactPartial(0)
 			default:
 				size := 1 + rng.Intn(PageSize)
 				data := make([]byte, size)
@@ -119,7 +119,7 @@ func TestZsmallocCompactChurnProperty(t *testing.T) {
 			}
 		}
 		denBefore := z.Stats().Density()
-		z.Compact()
+		z.CompactPartial(0)
 		denAfter := z.Stats().Density()
 		if len(live) > 0 && denAfter+1e-9 < denBefore {
 			return false
@@ -150,7 +150,7 @@ func TestCompactThenReuse(t *testing.T) {
 			_ = z.Free(h)
 		}
 	}
-	z.Compact()
+	z.CompactPartial(0)
 	peak := z.Stats().PoolPages
 	for i := 0; i < 100; i++ {
 		if _, err := z.Store(make([]byte, 800)); err != nil {

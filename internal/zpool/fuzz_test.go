@@ -80,7 +80,7 @@ func FuzzPoolDifferential(f *testing.F) {
 						}
 					}
 				case 6:
-					p.Compact()
+					p.CompactPartial(0)
 				case 7:
 					p.CompactPartial(1 + int(next())%4)
 				}

@@ -304,11 +304,9 @@ func (z *Z3fold) Free(h Handle) error {
 	return nil
 }
 
-// Compact implements Pool: kept a no-op to match current kernels (z3fold's
-// limited compaction was removed along with the allocator's deprecation).
-func (z *Z3fold) Compact() int { return 0 }
-
-// CompactPartial implements Pool: no compactor, zero work.
+// CompactPartial implements Pool: kept a no-op to match current kernels
+// (z3fold's limited compaction was removed along with the allocator's
+// deprecation).
 func (z *Z3fold) CompactPartial(budgetPages int) CompactResult { return CompactResult{} }
 
 // Stats implements Pool.

@@ -230,11 +230,8 @@ func (z *Zbud) Free(h Handle) error {
 	return nil
 }
 
-// Compact implements Pool: the kernel's zbud has no compactor, so this is
-// a no-op.
-func (z *Zbud) Compact() int { return 0 }
-
-// CompactPartial implements Pool: no compactor, zero work.
+// CompactPartial implements Pool: the kernel's zbud has no compactor, so
+// this is a no-op.
 func (z *Zbud) CompactPartial(budgetPages int) CompactResult { return CompactResult{} }
 
 // Stats implements Pool.

@@ -102,17 +102,13 @@ type Pool interface {
 	// Free releases the object. It returns ErrInvalidHandle if h is not a
 	// live handle.
 	Free(h Handle) error
-	// Compact migrates objects to reduce fragmentation and returns the
-	// number of pool pages reclaimed. Only zsmalloc compacts (the
-	// kernel's zs_compact); zbud and z3fold return 0. Equivalent to
-	// CompactPartial(0).PagesReclaimed.
-	Compact() int
-	// CompactPartial compacts until at least budgetPages pool pages have
-	// been reclaimed (it may overshoot by at most one zspage) or nothing
-	// more can be reclaimed; budgetPages <= 0 means unbounded. Pools keep
-	// a resume cursor so successive bounded calls continue where the last
-	// stopped instead of rescanning from the start. zbud and z3fold have
-	// no compactor and return a zero CompactResult.
+	// CompactPartial migrates objects to reduce fragmentation until at
+	// least budgetPages pool pages have been reclaimed (it may overshoot
+	// by at most one zspage) or nothing more can be reclaimed;
+	// budgetPages <= 0 means unbounded. Pools keep a resume cursor so
+	// successive bounded calls continue where the last stopped instead of
+	// rescanning from the start. Only zsmalloc compacts (the kernel's
+	// zs_compact); zbud and z3fold return a zero CompactResult.
 	CompactPartial(budgetPages int) CompactResult
 	// Stats returns current accounting.
 	Stats() Stats

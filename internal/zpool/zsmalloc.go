@@ -257,14 +257,10 @@ func removeFromPartial(c *zsClass, zi int) {
 	}
 }
 
-// Compact implements Pool: per class, objects migrate from the sparsest
-// partial zspages into fuller ones until either the donor drains (its
-// pages are reclaimed) or no free slots remain elsewhere — the kernel's
-// zs_compact. Handles stay valid across compaction. It returns the number
-// of pool pages reclaimed.
-func (z *Zsmalloc) Compact() int { return z.CompactPartial(0).PagesReclaimed }
-
-// CompactPartial implements Pool. A bounded call (budgetPages > 0) starts
+// CompactPartial implements Pool: per class, objects migrate from the
+// sparsest partial zspages into fuller ones until either the donor drains
+// (its pages are reclaimed) or no free slots remain elsewhere — the
+// kernel's zs_compact. Handles stay valid across compaction. A bounded call (budgetPages > 0) starts
 // at the class the previous bounded call stopped in and wraps around all
 // classes, stopping once at least budgetPages pool pages have been
 // reclaimed (overshooting by at most one zspage); the cursor then parks on

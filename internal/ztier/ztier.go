@@ -179,7 +179,7 @@ type Tier struct {
 
 	// mu guards the pool, the footprint bound and the scratch buffer.
 	// Reads of pool state (Load, Stats) take the read side; anything that
-	// mutates pool layout (Store, Free, Compact) takes the write side.
+	// mutates pool layout (Store, Free, CompactPartial) takes the write side.
 	mu   sync.RWMutex
 	pool zpool.Pool
 	// maxPoolPages bounds the pool footprint (0 = unbounded), like
@@ -195,27 +195,7 @@ type Tier struct {
 	rejects     atomic.Int64
 	sameFilled  atomic.Int64
 	fullRejects atomic.Int64
-
-	// Lock-free page accounting, maintained at commit time: livePages
-	// mirrors the tier's live page-object count (pool objects plus
-	// same-filled pages) and livePoolPages its physical pool-page
-	// footprint. Every successful commit, free and compaction slice
-	// updates them under the tier lock; readers need no lock at all,
-	// so telemetry can sample a tier mid-commit without stalling the
-	// migration pipeline behind the pool mutex.
-	livePages     atomic.Int64
-	livePoolPages atomic.Int64
 }
-
-// LivePages returns the tier's live page count (stored page objects,
-// including same-filled ones) from the lock-free commit-time accounting.
-// Equals Stats().Pages at quiescence without taking the tier lock.
-func (t *Tier) LivePages() int64 { return t.livePages.Load() }
-
-// LivePoolPages returns the tier's physical footprint in pool pages as of
-// the last commit, free or compaction slice, without taking the tier
-// lock. Equals Stats().PoolPages at quiescence.
-func (t *Tier) LivePoolPages() int { return int(t.livePoolPages.Load()) }
 
 // SetMaxPoolPages bounds the tier's physical footprint; stores that would
 // exceed it fail with ErrTierFull. Zero removes the bound.
@@ -330,7 +310,6 @@ func (t *Tier) commitLocked(ps PreparedStore) (Handle, float64, error) {
 	if ps.sameFilled {
 		t.stores.Add(1)
 		t.sameFilled.Add(1)
-		t.livePages.Add(1)
 		return Handle{sameFilled: true, fillByte: ps.fillByte, size: 0}, sameFilledScanNs, nil
 	}
 	if ps.rejected {
@@ -398,15 +377,12 @@ func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
 			return Handle{}, 0, fmt.Errorf("ztier %s: rolling back over-budget store: %w", t.Name(), ferr)
 		}
 		t.fullRejects.Add(1)
-		t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
 		return Handle{}, 0, ErrTierFull
 	}
 	pp := t.pool.Stats().PoolPages
 	if pp > t.highPoolPages {
 		t.highPoolPages = pp
 	}
-	t.livePoolPages.Store(int64(pp))
-	t.livePages.Add(1)
 	t.stores.Add(1)
 	lat := PoolStoreNs(t.cfg.Pool) + media.WriteCostNs(t.cfg.Media, len(comp))
 	return Handle{pool: h, size: len(comp)}, lat, nil
@@ -481,7 +457,6 @@ func (t *Tier) LoadCompressed(h Handle, dst []byte) ([]byte, float64, bool, erro
 func (t *Tier) Free(h Handle) error {
 	if h.sameFilled {
 		t.sameFilled.Add(-1)
-		t.livePages.Add(-1)
 		return nil
 	}
 	t.mu.Lock()
@@ -489,17 +464,7 @@ func (t *Tier) Free(h Handle) error {
 	if err := t.pool.Free(h.pool); err != nil {
 		return err
 	}
-	t.livePages.Add(-1)
-	t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
 	return nil
-}
-
-// Compact runs the pool's compactor (zsmalloc's zs_compact) to completion
-// and returns the pool pages reclaimed plus the modeled cost of the object
-// moves. Equivalent to CompactPartial(0).
-func (t *Tier) Compact() (int, float64) {
-	r, ns := t.CompactPartial(0)
-	return r.PagesReclaimed, ns
 }
 
 // compactSlicePages is how many pool pages a single lock hold may reclaim
@@ -527,7 +492,6 @@ func (t *Tier) CompactPartial(budgetPages int) (zpool.CompactResult, float64) {
 		}
 		t.mu.Lock()
 		r := t.pool.CompactPartial(slice)
-		t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
 		t.mu.Unlock()
 		total.Add(r)
 		if r.PagesReclaimed == 0 {
